@@ -171,10 +171,13 @@ trap on_exit EXIT
 SCALE_BUDGET_S=1.0
 
 # Stored wall-clock budget (seconds) for the 65536-rank event-calendar
-# point (events + perf stages). Measured ~21 s on the reference host
-# (single driver thread); 30 s absorbs load noise, and the 25% slack
-# puts the hard limit at 37.5 s.
-EVENTS_BUDGET_S=30.0
+# point (events + perf stages). Measured 2.2-2.6 s on a 2-core host
+# (single driver thread) once communicator set-up became O(p) per
+# communicator instead of O(p) per rank per call; the same host measured
+# 13.3-13.6 s before. 10 s absorbs load noise, and the 25% slack puts the
+# hard limit at 12.5 s, so an O(p^2) set-up or selection regression at
+# this scale fails the gate.
+EVENTS_BUDGET_S=10.0
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive
 # DPOR sweep (`mcheck --family all`: 8 families x 3 sync methods, real

@@ -315,11 +315,11 @@ impl<T: ShmElem> AgSm<T> {
 }
 
 /// The [`CommCase`] one allgather call presents to a selection policy.
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, send: &Buf<T>) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, send: &Buf<T>) -> CommCase {
     CommCase::new(
         CollectiveOp::Allgather,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         send.byte_len() * comm.size(),
     )
 }
@@ -366,7 +366,7 @@ pub fn tuned_uncharged<T: ShmElem>(
     recv: &mut Buf<T>,
     tuning: &Tuning,
 ) {
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     dispatch(ctx, comm, send, recv, legacy_choice(tuning, &case));
 }
 
@@ -392,7 +392,7 @@ pub fn with_policy_uncharged<T: ShmElem>(
     recv: &mut Buf<T>,
     policy: &SelectionPolicy,
 ) {
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, send, recv, algo);
 }
@@ -453,7 +453,7 @@ pub fn ituned<'a, T: ShmElem>(
 ) -> IAllgather<'a, T> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, send, recv, algo)
 }
@@ -469,7 +469,7 @@ pub fn iwith_policy<'a, T: ShmElem>(
 ) -> IAllgather<'a, T> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, send, recv, &algo)
 }

@@ -304,11 +304,11 @@ impl<T: ShmElem> AgvSm<T> {
 
 /// The [`CommCase`] one allgatherv call presents to a selection policy
 /// (`total_bytes` = whole result, elements of type `T`).
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, counts: &[usize]) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, counts: &[usize]) -> CommCase {
     CommCase::new(
         CollectiveOp::Allgatherv,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         counts.iter().sum::<usize>() * T::SIZE,
     )
 }
@@ -370,7 +370,7 @@ pub fn tuned_uncharged<T: ShmElem>(
     tuning: &Tuning,
 ) {
     ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     dispatch(ctx, comm, send, counts, recv, legacy_choice(tuning, &case));
 }
 
@@ -387,7 +387,7 @@ pub fn with_policy<T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, send, counts, recv, algo);
 }
@@ -436,7 +436,7 @@ impl<T: ShmElem> InPlaceSm<T> {
         if comm.size() == 1 {
             return Self { sm: None };
         }
-        let case = case_for::<T>(ctx, comm, counts);
+        let case = case_for::<T>(comm, counts);
         Self {
             sm: Some(AgvSm::for_algo(legacy_choice(tuning, &case))),
         }
@@ -455,7 +455,7 @@ impl<T: ShmElem> InPlaceSm<T> {
         if comm.size() == 1 {
             return Self { sm: None };
         }
-        let case = case_for::<T>(ctx, comm, counts);
+        let case = case_for::<T>(comm, counts);
         let algo = policy.choose(ctx, &case);
         Self {
             sm: Some(AgvSm::for_algo(algo)),
@@ -543,7 +543,7 @@ pub fn ituned<'a, T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, send, counts, recv, algo)
 }
@@ -560,7 +560,7 @@ pub fn iwith_policy<'a, T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, send, counts, recv, &algo)
 }

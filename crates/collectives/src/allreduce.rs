@@ -321,7 +321,7 @@ impl TunedSm {
     ) -> Self {
         let fee = ctx.cost().coll_entry_us;
         ctx.charge_time(fee);
-        let case = case_for(ctx, comm, send);
+        let case = case_for(comm, send);
         Self {
             sm: AllredSm::for_algo(legacy_choice(tuning, &case)),
         }
@@ -336,7 +336,7 @@ impl TunedSm {
     ) -> Self {
         let fee = ctx.cost().coll_entry_us;
         ctx.charge_time(fee);
-        let case = case_for(ctx, comm, send);
+        let case = case_for(comm, send);
         Self {
             sm: AllredSm::for_algo(policy.choose(ctx, &case)),
         }
@@ -368,17 +368,17 @@ pub fn tuned<T: ShmElem, O: ReduceOp<T>>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     dispatch(ctx, comm, send, recv, op, legacy_choice(tuning, &case));
 }
 
 /// The [`CommCase`] one allreduce call presents to a selection policy
 /// (`total_bytes` = the reduced vector).
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, send: &Buf<T>) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, send: &Buf<T>) -> CommCase {
     CommCase::new(
         CollectiveOp::Allreduce,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         send.byte_len(),
     )
 }
@@ -456,7 +456,7 @@ pub fn ituned<'a, T: ShmElem, O: ReduceOp<T>>(
 ) -> IAllreduce<'a, T, O> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, send, recv, op, algo)
 }
@@ -472,7 +472,7 @@ pub fn iwith_policy<'a, T: ShmElem, O: ReduceOp<T>>(
 ) -> IAllreduce<'a, T, O> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, send, recv, op, &algo)
 }
@@ -488,7 +488,7 @@ pub fn with_policy<T: ShmElem, O: ReduceOp<T>>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, send);
+    let case = case_for(comm, send);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, send, recv, op, algo);
 }

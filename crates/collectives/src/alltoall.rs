@@ -241,17 +241,17 @@ pub fn tuned<T: ShmElem>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, count);
+    let case = case_for::<T>(comm, count);
     dispatch(ctx, comm, send, recv, count, legacy_choice(tuning, &case));
 }
 
 /// The [`CommCase`] one alltoall call presents to a selection policy
 /// (`total_bytes` = one rank-to-rank block).
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, count: usize) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, count: usize) -> CommCase {
     CommCase::new(
         CollectiveOp::Alltoall,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         count * T::SIZE,
     )
 }
@@ -282,7 +282,7 @@ pub fn with_policy<T: ShmElem>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, count);
+    let case = case_for::<T>(comm, count);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, send, recv, count, algo);
 }
@@ -345,7 +345,7 @@ pub fn ituned<'a, T: ShmElem>(
 ) -> IAlltoall<'a, T> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, count);
+    let case = case_for::<T>(comm, count);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, send, recv, count, algo)
 }
@@ -361,7 +361,7 @@ pub fn iwith_policy<'a, T: ShmElem>(
 ) -> IAlltoall<'a, T> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, count);
+    let case = case_for::<T>(comm, count);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, send, recv, count, &algo)
 }

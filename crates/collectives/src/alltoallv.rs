@@ -257,11 +257,11 @@ impl A2avSm {
 
 /// The [`CommCase`] one alltoallv call presents to a selection policy
 /// (`total_bytes` = everything this rank sends).
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, scounts: &[usize]) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, scounts: &[usize]) -> CommCase {
     CommCase::new(
         CollectiveOp::Alltoallv,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         scounts.iter().sum::<usize>() * T::SIZE,
     )
 }
@@ -306,7 +306,7 @@ pub fn tuned<T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, scounts);
+    let case = case_for::<T>(comm, scounts);
     dispatch(
         ctx,
         comm,
@@ -332,7 +332,7 @@ pub fn with_policy<T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, scounts);
+    let case = case_for::<T>(comm, scounts);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, send, scounts, recv, rcounts, algo);
 }
@@ -408,7 +408,7 @@ pub fn ituned<'a, T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(tuning.v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, scounts);
+    let case = case_for::<T>(comm, scounts);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, send, scounts, recv, rcounts, algo)
 }
@@ -427,7 +427,7 @@ pub fn iwith_policy<'a, T: ShmElem>(
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
     ctx.charge_time(policy.tuning().v_overhead_per_rank_us * comm.size() as f64);
-    let case = case_for::<T>(ctx, comm, scounts);
+    let case = case_for::<T>(comm, scounts);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, send, scounts, recv, rcounts, &algo)
 }

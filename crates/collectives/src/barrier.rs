@@ -120,7 +120,7 @@ pub fn shm_dissemination(ctx: &mut Ctx, comm: &Communicator) {
 pub fn tuned_sm(ctx: &mut Ctx, comm: &Communicator) -> BarrierSm {
     let fee = ctx.cost().barrier_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm);
+    let case = case_for(comm);
     match legacy_choice(&Tuning::cray_mpich(), &case) {
         "barrier.shm_dissemination" => BarrierSm::shm(),
         _ => BarrierSm::msg(),
@@ -133,20 +133,15 @@ pub fn tuned_sm(ctx: &mut Ctx, comm: &Communicator) -> BarrierSm {
 pub fn tuned(ctx: &mut Ctx, comm: &Communicator) {
     let fee = ctx.cost().barrier_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm);
+    let case = case_for(comm);
     // The barrier split is node-structural, not threshold-driven, so any
     // Tuning yields the same legacy choice.
     dispatch(ctx, comm, legacy_choice(&Tuning::cray_mpich(), &case));
 }
 
 /// The [`CommCase`] one barrier call presents to a selection policy.
-pub fn case_for(ctx: &Ctx, comm: &Communicator) -> CommCase {
-    CommCase::new(
-        CollectiveOp::Barrier,
-        comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
-        0,
-    )
+pub fn case_for(comm: &Communicator) -> CommCase {
+    CommCase::new(CollectiveOp::Barrier, comm.size(), comm.num_nodes(), 0)
 }
 
 /// Run the named registered algorithm.
@@ -165,7 +160,7 @@ pub fn dispatch(ctx: &mut Ctx, comm: &Communicator, algo: &str) {
 pub fn with_policy(ctx: &mut Ctx, comm: &Communicator, policy: &SelectionPolicy) {
     let fee = ctx.cost().barrier_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm);
+    let case = case_for(comm);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, algo);
 }

@@ -328,7 +328,7 @@ impl TunedSm {
     ) -> Self {
         let fee = ctx.cost().coll_entry_us;
         ctx.charge_time(fee);
-        let case = case_for(ctx, comm, buf);
+        let case = case_for(comm, buf);
         Self {
             sm: BcastSm::for_algo::<T>(legacy_choice(tuning, &case)),
         }
@@ -343,7 +343,7 @@ impl TunedSm {
     ) -> Self {
         let fee = ctx.cost().coll_entry_us;
         ctx.charge_time(fee);
-        let case = case_for(ctx, comm, buf);
+        let case = case_for(comm, buf);
         Self {
             sm: BcastSm::for_algo::<T>(policy.choose(ctx, &case)),
         }
@@ -385,17 +385,17 @@ pub fn tuned_uncharged<T: ShmElem>(
     root: usize,
     tuning: &Tuning,
 ) {
-    let case = case_for(ctx, comm, buf);
+    let case = case_for(comm, buf);
     dispatch(ctx, comm, buf, root, legacy_choice(tuning, &case));
 }
 
 /// The [`CommCase`] one bcast call presents to a selection policy
 /// (`total_bytes` = the broadcast message).
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, buf: &Buf<T>) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, buf: &Buf<T>) -> CommCase {
     CommCase::new(
         CollectiveOp::Bcast,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         buf.byte_len(),
     )
 }
@@ -467,7 +467,7 @@ pub fn ituned<'a, T: ShmElem>(
 ) -> IBcast<'a, T> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, buf);
+    let case = case_for(comm, buf);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, buf, root, algo)
 }
@@ -482,7 +482,7 @@ pub fn iwith_policy<'a, T: ShmElem>(
 ) -> IBcast<'a, T> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, buf);
+    let case = case_for(comm, buf);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, buf, root, &algo)
 }
@@ -497,7 +497,7 @@ pub fn with_policy<T: ShmElem>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for(ctx, comm, buf);
+    let case = case_for(comm, buf);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, buf, root, algo);
 }

@@ -39,8 +39,14 @@ pub struct Hierarchy {
 }
 
 /// The shared node-group layout, computed once per communicator by the
-/// last rank to arrive at the setup exchange.
-type NodeLayout = (Arc<Vec<Vec<usize>>>, Arc<Vec<usize>>, Arc<Vec<usize>>);
+/// last rank to arrive at the setup exchange: `group_members`,
+/// `node_sorted`, `sorted_pos`, and each parent rank's group index.
+type NodeLayout = (
+    Arc<Vec<Vec<usize>>>,
+    Arc<Vec<usize>>,
+    Arc<Vec<usize>>,
+    Vec<usize>,
+);
 
 impl Hierarchy {
     /// Collectively build the hierarchy over `comm`.
@@ -51,23 +57,25 @@ impl Hierarchy {
     /// `MPI_Comm_split` orders the leaders).
     pub fn build(ctx: &mut Ctx, comm: &Communicator) -> Self {
         // Every rank deposits only its own node id (O(1)); the last rank
-        // to arrive groups the deposits by node, once per communicator.
-        // Deposits arrive sorted by parent rank, so members are pushed in
-        // ascending parent-rank order.
+        // to arrive groups the deposits by node in O(p), once per
+        // communicator. Deposits arrive sorted by parent rank, so groups
+        // open in ascending leader order (the bridge order) and members
+        // are pushed in ascending parent-rank order.
         let my_node = ctx.map().node_of(comm.global_of(comm.rank()));
+        let cluster_nodes = ctx.map().num_nodes();
         let layout: Arc<NodeLayout> = ctx.setup_exchange(comm, my_node, |deposits| {
             let size = deposits.len();
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut group_of_node = vec![usize::MAX; cluster_nodes];
+            let mut group_members: Vec<Vec<usize>> = Vec::new();
+            let mut group_of = Vec::with_capacity(size);
             for (parent_rank, node) in deposits {
-                match groups.iter_mut().find(|(n, _)| *n == node) {
-                    Some((_, members)) => members.push(parent_rank),
-                    None => groups.push((node, vec![parent_rank])),
+                if group_of_node[node] == usize::MAX {
+                    group_of_node[node] = group_members.len();
+                    group_members.push(Vec::new());
                 }
+                group_members[group_of_node[node]].push(parent_rank);
+                group_of.push(group_of_node[node]);
             }
-            // Bridge order: by leader parent rank (= min member, since
-            // members were pushed in ascending parent-rank order).
-            groups.sort_by_key(|(_, members)| members[0]);
-            let group_members: Vec<Vec<usize>> = groups.into_iter().map(|(_, m)| m).collect();
             let node_sorted: Vec<usize> = group_members.iter().flatten().copied().collect();
             let mut sorted_pos = vec![0usize; size];
             for (pos, &parent_rank) in node_sorted.iter().enumerate() {
@@ -77,6 +85,7 @@ impl Hierarchy {
                 Arc::new(group_members),
                 Arc::new(node_sorted),
                 Arc::new(sorted_pos),
+                group_of,
             )
         });
         let (group_members, node_sorted, sorted_pos) = (
@@ -84,13 +93,7 @@ impl Hierarchy {
             Arc::clone(&layout.1),
             Arc::clone(&layout.2),
         );
-
-        // Locate this rank's group (members are sorted ascending).
-        let me = comm.rank();
-        let node_index = group_members
-            .iter()
-            .position(|m| m.binary_search(&me).is_ok())
-            .expect("own rank must be present in some node group");
+        let node_index = layout.3[comm.rank()];
 
         let shm = comm
             .split(ctx, Some(my_node as i64), 0)

@@ -280,7 +280,7 @@ impl<T: ShmElem> TunedSm<T> {
     pub fn tuned(ctx: &mut Ctx, comm: &Communicator, counts: &[usize], tuning: &Tuning) -> Self {
         let fee = ctx.cost().coll_entry_us;
         ctx.charge_time(fee);
-        let case = case_for::<T>(ctx, comm, counts);
+        let case = case_for::<T>(comm, counts);
         Self {
             sm: RsSm::for_algo(legacy_choice(tuning, &case)),
         }
@@ -295,7 +295,7 @@ impl<T: ShmElem> TunedSm<T> {
     ) -> Self {
         let fee = ctx.cost().coll_entry_us;
         ctx.charge_time(fee);
-        let case = case_for::<T>(ctx, comm, counts);
+        let case = case_for::<T>(comm, counts);
         Self {
             sm: RsSm::for_algo(policy.choose(ctx, &case)),
         }
@@ -331,7 +331,7 @@ pub fn tuned<T: ShmElem, O: ReduceOp<T>>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     dispatch(
         ctx,
         comm,
@@ -345,11 +345,11 @@ pub fn tuned<T: ShmElem, O: ReduceOp<T>>(
 
 /// The [`CommCase`] one reduce-scatter call presents to a selection
 /// policy (`total_bytes` = the full input vector).
-pub fn case_for<T: ShmElem>(ctx: &Ctx, comm: &Communicator, counts: &[usize]) -> CommCase {
+pub fn case_for<T: ShmElem>(comm: &Communicator, counts: &[usize]) -> CommCase {
     CommCase::new(
         CollectiveOp::ReduceScatter,
         comm.size(),
-        CommCase::count_nodes(ctx.map(), comm.members()),
+        comm.num_nodes(),
         counts.iter().sum::<usize>() * T::SIZE,
     )
 }
@@ -440,7 +440,7 @@ pub fn ituned<'a, T: ShmElem, O: ReduceOp<T>>(
 ) -> IReduceScatter<'a, T, O> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     let algo = legacy_choice(tuning, &case);
     istart(ctx, comm, send, counts, recv, op, algo)
 }
@@ -458,7 +458,7 @@ pub fn iwith_policy<'a, T: ShmElem, O: ReduceOp<T>>(
 ) -> IReduceScatter<'a, T, O> {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     let algo = policy.choose(ctx, &case).to_string();
     istart(ctx, comm, send, counts, recv, op, &algo)
 }
@@ -475,7 +475,7 @@ pub fn with_policy<T: ShmElem, O: ReduceOp<T>>(
 ) {
     let fee = ctx.cost().coll_entry_us;
     ctx.charge_time(fee);
-    let case = case_for::<T>(ctx, comm, counts);
+    let case = case_for::<T>(comm, counts);
     let algo = policy.choose(ctx, &case);
     dispatch(ctx, comm, send, counts, recv, op, algo);
 }

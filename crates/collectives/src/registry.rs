@@ -107,7 +107,8 @@ pub struct CommCase {
     pub op: CollectiveOp,
     /// Number of ranks in the communicator.
     pub comm_size: usize,
-    /// Number of distinct nodes the communicator's members live on.
+    /// Number of distinct nodes the communicator's members live on
+    /// (`Communicator::num_nodes`, cached per communicator).
     pub num_nodes: usize,
     /// Op-specific size measure in bytes (see type docs).
     pub total_bytes: usize,
@@ -155,15 +156,6 @@ impl CommCase {
     /// block-symmetric operations).
     pub fn block_bytes(&self) -> usize {
         self.total_bytes / self.comm_size.max(1)
-    }
-
-    /// The number of distinct nodes hosting `members` (global ranks),
-    /// looked up through the rank map.
-    pub fn count_nodes(map: &simnet::RankMap, members: &[usize]) -> usize {
-        let mut nodes: Vec<usize> = members.iter().map(|&g| map.node_of(g)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes.len()
     }
 }
 

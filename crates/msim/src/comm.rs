@@ -4,6 +4,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use simnet::RankMap;
+
 use crate::ctx::Ctx;
 use crate::oob::KIND_SPLIT;
 
@@ -18,15 +20,35 @@ pub(crate) struct CommInner {
     pub(crate) members: Vec<usize>,
     /// global rank -> communicator-local rank.
     pub(crate) local_of: HashMap<usize, usize>,
+    /// Number of distinct nodes hosting the members, counted once here so
+    /// per-call algorithm selection never rescans `members`.
+    pub(crate) num_nodes: usize,
 }
 
 impl CommInner {
-    pub(crate) fn new(id: u32, members: Vec<usize>) -> Self {
+    pub(crate) fn new(id: u32, members: Vec<usize>, map: &RankMap) -> Self {
+        Self::with_scratch(id, members, map, &mut vec![false; map.num_nodes()])
+    }
+
+    /// [`CommInner::new`] with a caller-owned all-`false` seen-array of
+    /// `map.num_nodes()` entries, returned all-`false` again — lets a
+    /// split with many colors count every group's nodes in O(group size).
+    fn with_scratch(id: u32, members: Vec<usize>, map: &RankMap, seen: &mut [bool]) -> Self {
+        let mut num_nodes = 0;
+        for &g in &members {
+            let s = &mut seen[map.node_of(g)];
+            num_nodes += usize::from(!*s);
+            *s = true;
+        }
+        for &g in &members {
+            seen[map.node_of(g)] = false;
+        }
         let local_of = members.iter().enumerate().map(|(l, &g)| (g, l)).collect();
         Self {
             id,
             members,
             local_of,
+            num_nodes,
         }
     }
 }
@@ -75,6 +97,12 @@ impl Communicator {
         &self.inner.members
     }
 
+    /// Number of distinct nodes the members live on. Computed once when
+    /// the communicator is built, so reading it is O(1).
+    pub fn num_nodes(&self) -> usize {
+        self.inner.num_nodes
+    }
+
     /// `MPI_Comm_split`: partition members by `color`; order each group by
     /// `(key, parent rank)`. Ranks passing `None` (MPI_UNDEFINED) get no
     /// communicator back. Collective over all members; charges no virtual
@@ -118,6 +146,7 @@ impl Communicator {
                 let mut colors: Vec<i64> = by_color.keys().copied().collect();
                 colors.sort_unstable();
                 let mut out: HashMap<i64, Arc<CommInner>> = HashMap::new();
+                let mut seen = vec![false; shared.map.num_nodes()];
                 for c in colors {
                     let mut group = by_color.remove(&c).expect("color present");
                     group.sort_unstable();
@@ -125,7 +154,8 @@ impl Communicator {
                     let id = shared
                         .next_comm_id
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    out.insert(c, Arc::new(CommInner::new(id, members)));
+                    let inner = CommInner::with_scratch(id, members, &shared.map, &mut seen);
+                    out.insert(c, Arc::new(inner));
                 }
                 out
             },
@@ -178,7 +208,7 @@ impl Communicator {
             .copied()
             .filter(|g| !outcome.dead.contains(g))
             .collect();
-        let inner = Arc::new(CommInner::new(outcome.token, survivors));
+        let inner = Arc::new(CommInner::new(outcome.token, survivors, ctx.map()));
         let local_rank = inner.local_of[&me];
         Communicator { inner, local_rank }
     }
@@ -197,7 +227,11 @@ impl Communicator {
     /// non-recruited spare must keep waiting instead).
     pub fn from_grow(ctx: &Ctx, outcome: &crate::ft::GrowOutcome) -> Communicator {
         let me = ctx.rank();
-        let inner = Arc::new(CommInner::new(outcome.token, outcome.members.clone()));
+        let inner = Arc::new(CommInner::new(
+            outcome.token,
+            outcome.members.clone(),
+            ctx.map(),
+        ));
         let local_rank = *inner
             .local_of
             .get(&me)

@@ -977,13 +977,11 @@ impl Ctx {
     /// Panics if any member lives on a different node.
     pub fn post_flag_multicast(&mut self, comm: &Communicator, tag: u32) {
         self.fault_step(true);
-        for &g in comm.members() {
-            assert_eq!(
-                self.shared.map.node_of(g),
-                self.node(),
-                "shared flags only work between on-node ranks"
-            );
-        }
+        assert_eq!(
+            comm.num_nodes(),
+            1,
+            "shared flags only work between on-node ranks"
+        );
         self.clock.advance(self.shared.cost.flag_post_us);
         let arrival = self.clock.now() + self.shared.cost.flag_latency_us;
         // One cache-line store is one release event: a single clock

@@ -25,7 +25,12 @@ pub(crate) const KIND_SETUP: u8 = 3;
 
 struct Entry {
     expected: usize,
-    deposits: Vec<(usize, Box<dyn Any + Send>)>,
+    /// One slot per member id (`0..expected`), filled on deposit, so the
+    /// duplicate check and the FT "never deposited" test are O(1) and
+    /// the finisher reads deposits in member order without sorting.
+    deposits: Vec<Option<Box<dyn Any + Send>>>,
+    /// Number of filled `deposits` slots.
+    arrived: usize,
     result: Option<Arc<dyn Any + Send + Sync>>,
     taken: usize,
     /// Global ranks parked (pooled mode) waiting for the result; the
@@ -117,7 +122,8 @@ impl OobBoard {
         let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = entries.entry(key).or_insert_with(|| Entry {
             expected,
-            deposits: Vec::with_capacity(expected),
+            deposits: std::iter::repeat_with(|| None).take(expected).collect(),
+            arrived: 0,
             result: None,
             taken: 0,
             waiting: Vec::new(),
@@ -127,18 +133,19 @@ impl OobBoard {
             "rendezvous members disagree on the group size (SPMD bug)"
         );
         assert!(
-            !entry.deposits.iter().any(|(m, _)| *m == member),
+            member < expected && entry.deposits[member].is_none(),
             "member {member} deposited twice under the same key (SPMD bug)"
         );
-        entry.deposits.push((member, Box::new(value)));
+        entry.deposits[member] = Some(Box::new(value));
+        entry.arrived += 1;
 
-        if entry.deposits.len() == expected {
-            // Last one in computes the result.
-            let mut deposits = std::mem::take(&mut entry.deposits);
-            deposits.sort_by_key(|(m, _)| *m);
-            let typed: Vec<(usize, V)> = deposits
+        if entry.arrived == expected {
+            // Last one in computes the result; slots are in member order.
+            let typed: Vec<(usize, V)> = std::mem::take(&mut entry.deposits)
                 .into_iter()
+                .enumerate()
                 .map(|(m, b)| {
+                    let b = b.expect("every slot is filled once all members arrived");
                     (
                         m,
                         *b.downcast::<V>()
@@ -184,16 +191,14 @@ impl OobBoard {
                     // lock hold): a watched member that is dead/diverted
                     // and never deposited can no longer arrive, so the
                     // rendezvous is unfinishable — unwind with the typed
-                    // error. `deposits` is keyed by communicator-local
+                    // error. `deposits` is indexed by communicator-local
                     // rank, matching `w.members` order.
                     for (l, &g) in w.members.iter().enumerate() {
-                        if l == member {
+                        if l == member || entry.deposits[l].is_some() {
                             continue;
                         }
                         let dead = w.live.is_dead(g);
-                        if (dead || w.live.diverted_past(g, w.epoch))
-                            && !entry.deposits.iter().any(|(m, _)| *m == l)
-                        {
+                        if dead || w.live.diverted_past(g, w.epoch) {
                             std::panic::panic_any(if dead {
                                 WaitError::RankFailed {
                                     rank: me_global,
@@ -270,6 +275,8 @@ impl OobBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ft::Liveness;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn all_members_get_the_same_result() {
@@ -370,5 +377,119 @@ mod tests {
             Duration::from_millis(20),
             |_| (),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "deposited twice")]
+    fn second_deposit_by_the_same_member_panics() {
+        let board = OobBoard::new();
+        let deposit = || {
+            board.rendezvous(
+                &ExecCtl::Threads,
+                0,
+                (3, 0, KIND_SPLIT),
+                0,
+                2,
+                (),
+                Duration::from_millis(20),
+                |_| (),
+            )
+        };
+        // Member 1 never arrives, so the first deposit times out but
+        // stays on the board; the second one must be refused.
+        assert!(catch_unwind(AssertUnwindSafe(deposit)).is_err());
+        deposit();
+    }
+
+    #[test]
+    #[should_panic(expected = "deposited twice")]
+    fn out_of_range_member_panics() {
+        let board = OobBoard::new();
+        board.rendezvous(
+            &ExecCtl::Threads,
+            0,
+            (4, 0, KIND_SPLIT),
+            2,
+            2,
+            (),
+            Duration::from_secs(5),
+            |_| (),
+        );
+    }
+
+    #[test]
+    fn watched_dead_member_without_deposit_fails_the_wait() {
+        let board = OobBoard::new();
+        let watch = FtWatch {
+            live: Arc::new(Liveness::new(2)),
+            members: vec![0, 1],
+            epoch: 0,
+        };
+        watch.live.mark_dead(1);
+        let key = (5, 2, KIND_SETUP);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            board.rendezvous_watched(
+                &ExecCtl::Threads,
+                0,
+                key,
+                0,
+                2,
+                (),
+                Duration::from_secs(5),
+                Some(&watch),
+                |_| (),
+            )
+        }))
+        .expect_err("the rendezvous can never complete");
+        assert_eq!(
+            err.downcast_ref::<WaitError>(),
+            Some(&WaitError::RankFailed {
+                rank: 0,
+                failed: 1,
+                comm: 5,
+                tag: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn watched_dead_member_that_deposited_lets_live_members_complete() {
+        let board = Arc::new(OobBoard::new());
+        let live = Arc::new(Liveness::new(3));
+        let key = (6, 0, KIND_SETUP);
+        let deposit = |m: usize, watch: Option<FtWatch>| {
+            let b = Arc::clone(&board);
+            std::thread::spawn(move || {
+                *b.rendezvous_watched(
+                    &ExecCtl::Threads,
+                    m,
+                    key,
+                    m,
+                    3,
+                    m,
+                    Duration::from_secs(5),
+                    watch.as_ref(),
+                    |vals| vals.iter().map(|(_, v)| *v).sum::<usize>(),
+                )
+            })
+        };
+        let victim = deposit(2, None);
+        while board.entries.lock().unwrap().get(&key).map(|e| e.arrived) != Some(1) {
+            std::thread::yield_now();
+        }
+        live.mark_dead(2);
+        let survivors: Vec<_> = (0..2)
+            .map(|m| {
+                let watch = FtWatch {
+                    live: Arc::clone(&live),
+                    members: vec![0, 1, 2],
+                    epoch: 0,
+                };
+                deposit(m, Some(watch))
+            })
+            .collect();
+        for h in survivors.into_iter().chain([victim]) {
+            assert_eq!(h.join().unwrap(), 3);
+        }
     }
 }

@@ -600,7 +600,7 @@ impl Universe {
                 probe.clone(),
             ))),
         };
-        let world = Arc::new(CommInner::new(0, (0..nranks).collect()));
+        let world = Arc::new(CommInner::new(0, (0..nranks).collect(), &map));
         let shared = Arc::new(Shared {
             cost: config.cost,
             map,

@@ -102,14 +102,11 @@ impl<T: ShmElem> SharedWindow<T> {
     /// # Panics
     /// Panics if the communicator spans more than one node.
     pub fn allocate(ctx: &mut Ctx, comm: &Communicator, my_len: usize) -> Self {
-        let my_node = ctx.map().node_of(ctx.rank());
-        for &g in comm.members() {
-            assert_eq!(
-                ctx.map().node_of(g),
-                my_node,
-                "SharedWindow requires a shared-memory (single-node) communicator"
-            );
-        }
+        assert_eq!(
+            comm.num_nodes(),
+            1,
+            "SharedWindow requires a shared-memory (single-node) communicator"
+        );
         let seq = ctx.next_oob_seq(comm.id());
         // Every member proposes an identity from its own (rank, alloc
         // counter); the finisher keeps communicator rank 0's proposal —

@@ -1,8 +1,8 @@
 //! Communicator API invariants: rank translation, nested splits,
 //! determinism of the split machinery.
 
-use msim::{Payload, SimConfig, Universe};
-use simnet::{ClusterSpec, CostModel};
+use msim::{Communicator, Ctx, FaultPlan, Payload, SimConfig, Universe};
+use simnet::{ClusterSpec, CostModel, Placement};
 
 fn cfg(nodes: usize, ppn: usize) -> SimConfig {
     SimConfig::new(ClusterSpec::regular(nodes, ppn), CostModel::uniform_test())
@@ -122,4 +122,100 @@ fn undefined_color_excludes_rank_everywhere() {
     })
     .unwrap();
     assert!(r.per_rank.iter().all(|&ok| ok));
+}
+
+/// Brute-force distinct-node count of `comm`'s members: the reference
+/// for the count cached when the communicator was built.
+fn distinct_nodes(ctx: &Ctx, comm: &Communicator) -> usize {
+    let mut nodes: Vec<usize> = comm
+        .members()
+        .iter()
+        .map(|&g| ctx.map().node_of(g))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes.len()
+}
+
+/// Every way a communicator is built — world, `split_shared`,
+/// `split_bridge`, an uneven split, `shrink` and `from_grow` — caches the
+/// same node count a brute-force scan finds. Rank 0 is killed and the
+/// last rank is a spare recruited back in, so on `[1, 3, 4]` the shrunk
+/// communicator loses a whole node.
+#[test]
+fn cached_node_count_matches_a_brute_force_count() {
+    let layouts = [
+        SimConfig::new(ClusterSpec::regular(4, 6), CostModel::uniform_test()),
+        SimConfig::new(ClusterSpec::regular(4, 6), CostModel::uniform_test())
+            .with_placement(Placement::RoundRobin),
+        SimConfig::new(
+            ClusterSpec::irregular(vec![1, 3, 4]),
+            CostModel::uniform_test(),
+        ),
+    ];
+    for cfg in layouts {
+        let nranks = cfg.spec.total_cores();
+        let (victim, spare) = (0, nranks - 1);
+        let plan = FaultPlan::none().with_kill(victim, 0);
+        let r = Universe::run_ft(cfg.with_fault(plan), move |ctx| {
+            let mut seen = Vec::new();
+            let mut check = |ctx: &Ctx, what: &'static str, c: &Communicator| {
+                seen.push((what, c.num_nodes(), distinct_nodes(ctx, c)));
+            };
+            let world = ctx.world();
+            check(ctx, "world", &world);
+            let shm = world.split_shared(ctx);
+            check(ctx, "shm", &shm);
+            if let Some(bridge) = world.split_bridge(ctx, &shm) {
+                check(ctx, "bridge", &bridge);
+            }
+            let uneven = world.split(ctx, Some(i64::from(ctx.rank() % 3 == 0)), 0);
+            check(ctx, "uneven", &uneven.expect("every rank has a color"));
+            let actives = world.split(ctx, Some(i64::from(ctx.rank() == spare)), 0);
+            let actives = actives.expect("every rank has a color");
+            if ctx.rank() == spare {
+                let out = ctx.ft_grow_standby(7, 0);
+                assert_eq!(out.recruits, vec![spare]);
+                ctx.set_ft_epoch(out.epoch);
+                check(ctx, "grow", &Communicator::from_grow(ctx, &out));
+                return seen;
+            }
+            if ctx.rank() == victim {
+                ctx.compute(1.0); // the kill op
+                return seen;
+            }
+            ctx.ft_divert(1);
+            let outcome = ctx.ft_agree(&actives, 0);
+            let shrunk = actives.shrink(ctx, &outcome);
+            check(ctx, "shrink", &shrunk);
+            ctx.set_ft_epoch(1);
+            let out = ctx.ft_grow(7, 0, shrunk.members(), &[spare], 1, 0, 0, false);
+            check(ctx, "grow", &Communicator::from_grow(ctx, &out));
+            seen
+        })
+        .unwrap();
+        assert_eq!(r.failed, vec![victim]);
+        let mut shrunk_nodes = Vec::new();
+        for (rank, seen) in r.per_rank.iter().enumerate() {
+            let Some(seen) = seen else { continue };
+            let built: Vec<&str> = seen.iter().map(|s| s.0).collect();
+            let tail: &[&str] = if rank == spare {
+                &["grow"]
+            } else {
+                &["shrink", "grow"]
+            };
+            assert!(built.ends_with(tail), "rank {rank}: {built:?}");
+            for &(what, cached, brute) in seen {
+                assert_eq!(cached, brute, "rank {rank}, {what}");
+                if what == "shrink" {
+                    shrunk_nodes.push(cached);
+                }
+            }
+        }
+        assert_eq!(shrunk_nodes.len(), nranks - 2);
+        if nranks == 8 {
+            // [1, 3, 4]: killing rank 0 empties node 0.
+            assert!(shrunk_nodes.iter().all(|&n| n == 2));
+        }
+    }
 }

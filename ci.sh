@@ -17,7 +17,8 @@
 #
 # Stages:
 #   fmt     cargo fmt --check
-#   build   release build of the whole workspace
+#   build   release build of the whole workspace, plus the hybench
+#           benchmark crate (its own workspace, built from these sources)
 #   test    cargo test --workspace (includes the pooled-executor
 #           differential suite and the figure-golden regression tests)
 #   lint    clippy, -D warnings (the workspace lint wall in Cargo.toml:
@@ -197,7 +198,11 @@ stage_fmt() {
 }
 
 stage_build() {
-    cargo build --release
+    cargo build --release --workspace
+    # The benchmark is a workspace of its own that calls the library
+    # crates directly (e.g. `linalg::gemm::gemm`), so an API change that
+    # breaks it must fail here rather than at benchmark time.
+    cargo build --release --manifest-path hybench/Cargo.toml
 }
 
 stage_test() {
@@ -446,7 +451,7 @@ ALL_STAGES=(fmt build test lint race mcheck ft events overlap multileader chaos 
 describe_stage() {
     case "$1" in
     fmt) echo "cargo fmt --check" ;;
-    build) echo "release build of the whole workspace" ;;
+    build) echo "release build of the whole workspace + hybench" ;;
     test) echo "cargo test --workspace (differential suites + figure goldens)" ;;
     lint) echo "clippy wall, -D warnings" ;;
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;

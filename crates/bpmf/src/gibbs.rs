@@ -324,6 +324,26 @@ mod tests {
         assert!(after < 1.0, "planted model should be learnable: {after}");
     }
 
+    /// FNV-1a (64-bit) over the little-endian bytes of each value's bits.
+    fn fnv1a_bits<'a>(values: impl Iterator<Item = &'a f64>) -> u64 {
+        values
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn serial_gibbs_rounding_golden() {
+        // Pins the rounding of every linalg kernel on the Gibbs path
+        // (gemm via the Wishart draw, Cholesky factor/solve/inverse,
+        // add_outer): a kernel change that alters even one bit of U or V
+        // fails here, instead of hiding inside an RMSE tolerance.
+        let d = Dataset::synthesize(&SyntheticSpec::tiny(7));
+        let (u, v) = serial_gibbs(&d.train, &d.train_t, 6, 3, 5, d.mean);
+        assert_eq!(fnv1a_bits(u.iter().chain(&v)), 0xb55c_6bf7_418d_470b);
+    }
+
     #[test]
     fn streams_are_reproducible_and_distinct() {
         let a: Vec<f64> = {

@@ -84,19 +84,52 @@ impl Cholesky {
         self.solve_lt(&self.solve_l(b))
     }
 
-    /// The inverse of `A` (column-by-column solves; used for covariance
-    /// matrices of modest dimension, e.g. the K×K precisions in BPMF).
+    /// The inverse of `A` (used for covariance matrices of modest
+    /// dimension, e.g. the K×K precisions in BPMF).
+    ///
+    /// All n right-hand sides of `A·X = I` are solved at once, row by row,
+    /// over a row-major scratch: each element of X sees exactly the steps
+    /// of the per-column [`solve`](Self::solve) of `e_c` (known zeros
+    /// included), so the result is the same bit for bit, but the n
+    /// independent chains run side by side.
     pub fn inverse(&self) -> Mat {
         let n = self.n();
-        let mut inv = Mat::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for c in 0..n {
-            e[c] = 1.0;
-            let x = self.solve(&e);
-            inv.col_mut(c).copy_from_slice(&x);
-            e[c] = 0.0;
+        // Row-major scratch, x[i*n + c], seeded with I.
+        let mut x = vec![0.0; n * n];
+        for i in 0..n {
+            x[i * n + i] = 1.0;
         }
-        inv
+        // Forward: L·Y = I.
+        for i in 0..n {
+            let (done, rest) = x.split_at_mut(i * n);
+            let row_i = &mut rest[..n];
+            for (k, row_k) in done.chunks_exact(n).enumerate() {
+                let lik = self.l[(i, k)];
+                for (v, &y) in row_i.iter_mut().zip(row_k) {
+                    *v -= lik * y;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for v in row_i.iter_mut() {
+                *v /= lii;
+            }
+        }
+        // Backward: Lᵀ·X = Y.
+        for i in (0..n).rev() {
+            let (head, done) = x.split_at_mut((i + 1) * n);
+            let row_i = &mut head[i * n..];
+            for (k, row_k) in (i + 1..n).zip(done.chunks_exact(n)) {
+                let lki = self.l[(k, i)];
+                for (v, &y) in row_i.iter_mut().zip(row_k) {
+                    *v -= lki * y;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for v in row_i.iter_mut() {
+                *v /= lii;
+            }
+        }
+        Mat::from_col_major(n, n, x).t()
     }
 
     /// log(det A) = 2·Σ log L[i,i] (model evidence diagnostics).
@@ -161,6 +194,35 @@ mod tests {
         let inv = Cholesky::new(&a).unwrap().inverse();
         let prod = matmul(&a, &inv);
         assert!(prod.distance(&Mat::eye(5)) < 1e-10);
+    }
+
+    #[test]
+    fn inverse_is_bit_identical_to_per_column_solves() {
+        for n in [1, 2, 5, 16, 33] {
+            let ch = Cholesky::new(&spd(n, 5)).unwrap();
+            let inv = ch.inverse();
+            let mut e = vec![0.0; n];
+            for c in 0..n {
+                e[c] = 1.0;
+                let want = ch.solve(&e);
+                e[c] = 0.0;
+                for (r, w) in want.iter().enumerate() {
+                    assert_eq!(inv[(r, c)].to_bits(), w.to_bits(), "n={n} ({r},{c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_factor_has_empty_inverse() {
+        let inv = Cholesky::new(&Mat::zeros(0, 0)).unwrap().inverse();
+        assert_eq!((inv.rows(), inv.cols()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn solve_checks_dims() {
+        Cholesky::new(&Mat::eye(3)).unwrap().solve(&[1.0]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! need:
 //!
 //! * [`Mat`] — a column-major dense matrix with views and the usual ops,
-//! * [`gemm`] — blocked matrix multiplication (C ← α·A·B + β·C),
+//! * [`gemm`] — packed, register-tiled matrix multiplication
+//!   (C ← α·A·B + β·C) with the rounding of the plain ascending-k loop,
 //! * [`Cholesky`] — LLᵀ factorization with forward/backward solves,
 //! * [`sample`] — multivariate normal, Wishart (Bartlett) and Gamma
 //!   (Marsaglia–Tsang) samplers for the Normal–Wishart Gibbs updates,

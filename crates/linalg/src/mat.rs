@@ -122,15 +122,17 @@ impl Mat {
         out
     }
 
-    /// Rank-k update `self + x·xᵀ` for a column vector x.
+    /// Rank-1 update `self + weight·x·xᵀ` for a column vector x.
     pub fn add_outer(&mut self, x: &[f64], weight: f64) {
         assert_eq!(self.rows, self.cols, "outer update needs a square matrix");
         assert_eq!(x.len(), self.rows, "dimension mismatch");
-        #[allow(clippy::needless_range_loop)] // symmetric rank-1 update over columns
-        for c in 0..self.cols {
-            let xc = x[c] * weight;
-            for r in 0..self.rows {
-                self.data[c * self.rows + r] += x[r] * xc;
+        if self.rows == 0 {
+            return;
+        }
+        for (col, &xc) in self.data.chunks_exact_mut(self.rows).zip(x) {
+            let xc = xc * weight;
+            for (v, &xr) in col.iter_mut().zip(x) {
+                *v += xr * xc;
             }
         }
     }
@@ -234,6 +236,7 @@ impl fmt::Debug for Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{Rng, SmallRng};
 
     #[test]
     fn column_major_layout() {
@@ -283,6 +286,36 @@ mod tests {
         assert_eq!(m[(1, 0)], 2.0);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 1)], 4.0);
+    }
+
+    #[test]
+    fn outer_update_is_bit_identical_to_indexed_formula() {
+        let mut rng = SmallRng::seed_from_u64(0x0ae7);
+        for n in [0, 1, 3, 16, 17] {
+            let m0 = Mat::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let w = rng.gen_range(0.1..3.0);
+            let mut got = m0.clone();
+            got.add_outer(&x, w);
+            for c in 0..n {
+                for r in 0..n {
+                    let want = m0[(r, c)] + x[r] * (x[c] * w);
+                    assert_eq!(got[(r, c)].to_bits(), want.to_bits(), "n={n} ({r},{c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outer update needs a square matrix")]
+    fn outer_update_checks_square() {
+        Mat::zeros(2, 3).add_outer(&[1.0, 2.0], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn outer_update_checks_dims() {
+        Mat::zeros(2, 2).add_outer(&[1.0], 1.0);
     }
 
     #[test]

@@ -63,8 +63,9 @@
 #           (every Hy* family x 3 sync methods x regular+irregular
 #           layouts x seeds, three executors bit-identical), then a
 #           65536-rank phantom smoke on a single driver thread, gated
-#           by EVENTS_BUDGET_S. `--quick` trims the wall to a 1-seed
-#           subset (MSIM_CONF_SEEDS=1).
+#           by EVENTS_BUDGET_S (wall-clock) and EVENTS_RSS_BUDGET_MB
+#           (peak RSS). `--quick` trims the wall to a 1-seed subset
+#           (MSIM_CONF_SEEDS=1).
 #   overlap split-phase gate (docs/nonblocking.md): the iexecute
 #           conformance suite (iexecute+wait bit-identical to execute
 #           for every family x 3 sync methods x regular+irregular
@@ -105,7 +106,9 @@
 #   perf    wall-clock gate: `scale --ranks 96 --ci` (pooled, temp
 #           artifact) and `scale --exec events --ranks 65536 --ci`
 #           (calendar, temp artifact) each fail if measured wall-clock
-#           exceeds their stored budget by >25%; the committed
+#           exceeds their stored budget by >25%, and the 65536-rank
+#           point also if its peak RSS (VmHWM, Linux) exceeds
+#           EVENTS_RSS_BUDGET_MB by >25%; the committed
 #           BENCH_scale.json must round-trip the canonical JSON
 #           serializer byte-for-byte. Also asserts the detector-off
 #           artifact is unaffected by the race feature. CI invocations
@@ -117,13 +120,19 @@
 # Perf budget bump procedure: the stored budgets below are wall-clock
 # (seconds) of `scale --ranks 96` (SCALE_BUDGET_S, pooled) and
 # `scale --exec events --ranks 65536` (EVENTS_BUDGET_S, calendar) on
-# the CI reference host, with headroom for load noise. If a gate fails
-# and the slowdown is *intended* (e.g. the simulator gained a feature
-# that costs real time), re-measure with
+# the CI reference host, with headroom for load noise, plus the peak
+# RSS (MB) of that 65536-rank point (EVENTS_RSS_BUDGET_MB). If a gate
+# fails and the slowdown or growth is *intended* (e.g. the simulator
+# gained a feature that costs real time or per-rank memory), re-measure
+# with
 #   cargo run --release -p bench --bin scale -- --ranks 96
-#   cargo run --release -p bench --bin scale -- --exec events --ranks 65536
-# round up generously, and update the budget in the same PR — never
-# bump it to paper over an unexplained regression. The full sweep
+#   cargo run --release -p bench --bin scale -- --exec events --ranks 65536 \
+#       --rss-budget-mb 1
+# (the second prints the measured peak RSS in its failure line), round
+# up generously, and update the budget in the same PR — never bump it
+# to paper over an unexplained regression. Peak RSS is nearly
+# deterministic, so its budget needs less headroom than the wall-clock
+# ones; keep it below what the previous executor design measured. The full sweep
 # (`scale` with no flags: pooled 48→4096 + events 8192→262144)
 # regenerates the whole BENCH_scale.json trajectory and is worth
 # re-running on executor changes (crates/bench/tests/artifact.rs pins
@@ -179,6 +188,15 @@ SCALE_BUDGET_S=1.0
 # hard limit at 12.5 s, so an O(p^2) set-up or selection regression at
 # this scale fails the gate.
 EVENTS_BUDGET_S=10.0
+
+# Stored peak-RSS budget (MB) for the same 65536-rank event-calendar
+# point (events + perf stages). Measured 400.6 MB on a 2-core Linux host
+# once both coroutine executors shared one lazily committed stack arena
+# whose canaries share the neighbouring rank's first page (4 KiB
+# committed per rank); the same host measured 657.6 MB before, when
+# every canary committed a page of its own. With the 25% slack the hard
+# limit is 600 MB, so a page-per-rank regression fails the gate.
+EVENTS_RSS_BUDGET_MB=480
 
 # Stored wall-clock budget (seconds) for the mcheck stage's exhaustive
 # DPOR sweep (`mcheck --family all`: 8 families x 3 sync methods, real
@@ -314,11 +332,12 @@ stage_events() {
     # Figure-golden leg: fig 7/8/9 virtual times unchanged on the
     # calendar.
     cargo test -q -p bench --test regression events_executor_reproduces_goldens_bit_for_bit
-    # 65536-rank phantom smoke on one driver thread, budget-gated (see
-    # header for the bump procedure). Temp artifact: CI never touches
-    # the committed BENCH_scale.json.
+    # 65536-rank phantom smoke on one driver thread, wall-clock and
+    # peak-RSS gated (see header for the bump procedure). Temp artifact:
+    # CI never touches the committed BENCH_scale.json.
     cargo run --release -p bench --bin scale -- --exec events --ranks 65536 --ci \
-        --out /tmp/ci_scale_events.json --budget-s "$EVENTS_BUDGET_S"
+        --out /tmp/ci_scale_events.json --budget-s "$EVENTS_BUDGET_S" \
+        --rss-budget-mb "$EVENTS_RSS_BUDGET_MB"
 }
 
 # Seed subset for the overlap stage's iexecute conformance pass: the
@@ -422,9 +441,11 @@ stage_perf() {
     MSIM_RACE=1 cargo run --release -p bench --bin scale -- \
         --ranks 96 --ci --out /tmp/ci_scale_perf_race.json --budget-s "$SCALE_BUDGET_S"
     # The large-rank event-calendar point: 65536 ranks on one driver
-    # thread, its own budget (EVENTS_BUDGET_S — see header).
+    # thread, its own budgets (EVENTS_BUDGET_S, EVENTS_RSS_BUDGET_MB —
+    # see header).
     cargo run --release -p bench --bin scale -- --exec events --ranks 65536 --ci \
-        --out /tmp/ci_scale_perf_events.json --budget-s "$EVENTS_BUDGET_S"
+        --out /tmp/ci_scale_perf_events.json --budget-s "$EVENTS_BUDGET_S" \
+        --rss-budget-mb "$EVENTS_RSS_BUDGET_MB"
     # Belt and braces: the round-trip golden check must also pass against
     # the *committed* artifact (this is what guards hand-edited or
     # clobbered artifacts; crates/bench/tests/artifact.rs pins its shape).
@@ -457,12 +478,12 @@ describe_stage() {
     race) echo "happens-before race detector: mutants + armed conformance suites" ;;
     mcheck) echo "DPOR model checker: mutant wall + exhaustive Hy*/k-leader sweep" ;;
     ft) echo "fault tolerance: kill matrix, runtime retry, app recovery, BENCH_ft" ;;
-    events) echo "event calendar: executor differential wall + 65536-rank smoke" ;;
+    events) echo "event calendar: executor differential wall + 65536-rank smoke (time + RSS)" ;;
     overlap) echo "split-phase: iexecute wall, app overlap wins, BENCH_overlap" ;;
     multileader) echo "k-leader collectives: conformance wall + BENCH_multileader" ;;
     chaos) echo "chaos soak: seeded fault campaigns + invariant oracle + mutant probe" ;;
     smoke) echo "pinned-seed fault injection + autotune + tuning-table goldens" ;;
-    perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events), BENCH_scale" ;;
+    perf) echo "wall-clock budgets (96-rank pooled, 65536-rank events), events RSS budget, BENCH_scale" ;;
     *) echo "?" ;;
     esac
 }

@@ -10,6 +10,7 @@
 //! ```text
 //! scale [--ranks N] [--max-ranks N] [--exec pooled|threads|events]
 //!       [--threads] [--out PATH] [--ci] [--budget-s SECS]
+//!       [--rss-budget-mb MB]
 //! scale --verify PATH
 //! ```
 //!
@@ -23,6 +24,10 @@
 //!   `--budget-s`, fails when measured wall-clock exceeds the stored
 //!   budget by more than 25% (see the `ci.sh` header for the bump
 //!   procedure).
+//! * `--rss-budget-mb MB` fails when the process's peak resident memory
+//!   (`VmHWM`) exceeds MB by more than the same 25% — the per-rank
+//!   memory gate of the coroutine stacks. Linux only; elsewhere the
+//!   check is skipped with a note.
 //! * `--verify PATH` re-parses an emitted artifact and checks it
 //!   round-trips the canonical serializer byte-for-byte.
 
@@ -63,8 +68,8 @@ const EVENTS_LADDER: &[(usize, usize)] = &[
 /// sets modeled bytes, not host memory).
 const ELEMS: usize = 64;
 
-/// Allowed overshoot over the stored wall-clock budget before the CI
-/// gate fails.
+/// Allowed overshoot over a stored wall-clock or memory budget before
+/// the CI gate fails.
 const BUDGET_SLACK: f64 = 1.25;
 
 /// Timed collective calls per point: averaged over 3 below this rank
@@ -222,6 +227,7 @@ fn main() -> ExitCode {
     let mut out = "BENCH_scale.json".to_string();
     let mut ci = false;
     let mut budget_s: Option<f64> = None;
+    let mut rss_budget_mb: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -248,6 +254,10 @@ fn main() -> ExitCode {
             "--budget-s" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(b) => budget_s = Some(b),
                 None => return usage("--budget-s needs seconds"),
+            },
+            "--rss-budget-mb" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(b) => rss_budget_mb = Some(b),
+                None => return usage("--rss-budget-mb needs megabytes"),
             },
             "--verify" => match args.next() {
                 Some(p) => return verify(&p),
@@ -343,14 +353,47 @@ fn main() -> ExitCode {
         }
         println!("scale: perf gate OK ({total_wall_s:.3} s <= {limit:.3} s limit)");
     }
+    if let Some(budget) = rss_budget_mb {
+        let limit = budget * BUDGET_SLACK;
+        match peak_rss_mb() {
+            None => println!("scale: memory gate skipped (no VmHWM on this platform)"),
+            Some(peak) if peak > limit => {
+                eprintln!(
+                    "scale: MEMORY GATE FAILED: {peak:.1} MB peak RSS exceeds \
+                     {limit:.1} MB (stored budget {budget:.1} MB + 25% slack). \
+                     If this growth is expected, bump the budget in ci.sh \
+                     (see its header for the procedure)."
+                );
+                return ExitCode::FAILURE;
+            }
+            Some(peak) => {
+                println!("scale: memory gate OK ({peak:.1} MB peak RSS <= {limit:.1} MB limit)")
+            }
+        }
+    }
     ExitCode::SUCCESS
+}
+
+/// Peak resident memory of this process in MB (`VmHWM` of
+/// `/proc/self/status`), or `None` where the kernel does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
 }
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("scale: {err}");
     eprintln!(
         "usage: scale [--ranks N] [--max-ranks N] [--exec pooled|threads|events] [--threads] \
-         [--out PATH] [--ci] [--budget-s SECS] | scale --verify PATH"
+         [--out PATH] [--ci] [--budget-s SECS] [--rss-budget-mb MB] | scale --verify PATH"
     );
     ExitCode::FAILURE
 }

@@ -4,13 +4,14 @@
 //! modeled virtual times — not real data movement. This executor drops
 //! the worker pool entirely: one driver thread resumes rank coroutines
 //! in virtual-time order off a binary-heap calendar keyed on
-//! `(virtual_time, rank, seq)`. Rank stacks are carved out of a single
-//! lazily-committed arena (`mmap` with `MAP_NORESERVE` on Linux), so a
-//! 262 144-rank universe reserves address space per rank but commits
-//! only the few pages each shallow rank program actually touches. That
-//! is what lifts the practical ceiling from ~4 096 ranks (one
-//! eagerly-allocated stack each) to the node counts where the hybrid
-//! MPI+MPI design differentiates from flat MPI.
+//! `(virtual_time, rank, seq)`. Rank stacks are carved out of the same
+//! lazily-committed arena the pooled executor uses (`StackArena` in
+//! [`crate::exec`]), so a 262 144-rank universe reserves address space
+//! per rank but commits only the pages each shallow rank program
+//! actually touches — one 4 KiB page per rank, measured in a 32 768-rank
+//! hybrid-allgather run. That is what lifts the practical ceiling from
+//! ~4 096 ranks (one eagerly-allocated stack each) to the node counts
+//! where the hybrid MPI+MPI design differentiates from flat MPI.
 //!
 //! Determinism: virtual time is computed purely from modeled costs
 //! along each rank's own program order (see [`simnet::Clock`]) and
@@ -38,8 +39,6 @@
 //! in its own context, and adversarial ready-queue picking is simply
 //! superseded by the calendar's canonical order.
 
-use std::alloc::Layout;
-use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
@@ -47,7 +46,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::ctx::Ctx;
-use crate::exec::{self, CoroTask, Intent, LaunchPack, RankOutcome};
+use crate::exec::{self, CellTable, Intent, RankOutcome};
 use crate::universe::Shared;
 
 /// Scheduling status of one rank in the calendar.
@@ -254,158 +253,8 @@ impl CalendarCore {
 }
 
 // ---------------------------------------------------------------------------
-// The stack arena.
-// ---------------------------------------------------------------------------
-
-/// One reservation holding every rank's coroutine stack. On Linux this
-/// is an anonymous `MAP_NORESERVE` mapping: 262 144 ranks × 64 KiB is
-/// 16 GiB of *address space*, but only the pages a rank program
-/// actually touches (typically 2–4) are ever committed. Elsewhere it
-/// falls back to one zeroed heap allocation, which on every mainstream
-/// allocator is also lazily committed at these sizes.
-struct StackArena {
-    base: *mut u8,
-    len: usize,
-    stack_size: usize,
-    mmapped: bool,
-}
-
-#[cfg(target_os = "linux")]
-mod sys {
-    //! Raw syscall bindings (the workspace links no external crates;
-    //! `std` already links libc, so declaring the symbols suffices).
-    use core::ffi::c_void;
-
-    unsafe extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            length: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> i32;
-    }
-
-    pub const PROT_READ: i32 = 0x1;
-    pub const PROT_WRITE: i32 = 0x2;
-    pub const MAP_PRIVATE: i32 = 0x02;
-    pub const MAP_ANONYMOUS: i32 = 0x20;
-    pub const MAP_NORESERVE: i32 = 0x4000;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-}
-
-impl StackArena {
-    fn layout(len: usize) -> Layout {
-        // 16-byte alignment satisfies both ABIs; `prepare_stack`
-        // re-aligns the top of each slot anyway.
-        Layout::from_size_align(len, 16).expect("arena size overflows a Layout")
-    }
-
-    fn new(nranks: usize, stack_size: usize) -> Self {
-        let len = nranks
-            .checked_mul(stack_size)
-            .expect("stack arena size overflows usize");
-        if len == 0 {
-            return Self {
-                base: std::ptr::null_mut(),
-                len: 0,
-                stack_size,
-                mmapped: false,
-            };
-        }
-        #[cfg(target_os = "linux")]
-        {
-            // SAFETY: an anonymous private mapping with a null hint has
-            // no preconditions; the result is checked against
-            // MAP_FAILED before use.
-            let p = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ | sys::PROT_WRITE,
-                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
-                    -1,
-                    0,
-                )
-            };
-            if p != sys::MAP_FAILED {
-                return Self {
-                    base: p.cast(),
-                    len,
-                    stack_size,
-                    mmapped: true,
-                };
-            }
-        }
-        // SAFETY: `len` is non-zero and the layout is valid (checked by
-        // `Self::layout`).
-        let base = unsafe { std::alloc::alloc_zeroed(Self::layout(len)) };
-        if base.is_null() {
-            std::alloc::handle_alloc_error(Self::layout(len));
-        }
-        Self {
-            base,
-            len,
-            stack_size,
-            mmapped: false,
-        }
-    }
-
-    /// The stack slot of `rank`.
-    ///
-    /// # Safety
-    /// The caller must not hold another live borrow of the same slot;
-    /// the driver only borrows a slot once, inside the rank's first
-    /// activation, before any switch into it.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn stack(&self, rank: usize) -> &mut [u8] {
-        debug_assert!((rank + 1) * self.stack_size <= self.len);
-        // SAFETY: the slot is in-bounds of the arena allocation and,
-        // per the contract above, not aliased by another borrow.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.base.add(rank * self.stack_size), self.stack_size)
-        }
-    }
-}
-
-impl Drop for StackArena {
-    fn drop(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        if self.mmapped {
-            #[cfg(target_os = "linux")]
-            // SAFETY: `base`/`len` came from the successful mmap in
-            // `new`, and no stack in the arena is live at drop time
-            // (the driver joined every coroutine first).
-            unsafe {
-                sys::munmap(self.base.cast(), self.len);
-            }
-        } else {
-            // SAFETY: allocated in `new` with the identical layout.
-            unsafe {
-                std::alloc::dealloc(self.base, Self::layout(self.len));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The single-threaded run driver.
 // ---------------------------------------------------------------------------
-
-/// One rank's executor cell: switch cell + launch pack + outcome. The
-/// stack lives in the arena, not here. `UnsafeCell` because the
-/// coroutine mutates these through raw pointers while the driver holds
-/// a shared borrow of the table; accesses strictly alternate with the
-/// context switches on the single driver thread.
-struct EvCell<'f, T, F> {
-    task: UnsafeCell<CoroTask>,
-    pack: UnsafeCell<LaunchPack<'f, T, F>>,
-    out: UnsafeCell<Option<RankOutcome<T>>>,
-}
 
 /// Run `f` once per rank on the calling thread, in calendar order.
 /// Returns per-rank outcomes (`None` for ranks orphaned by an
@@ -421,102 +270,27 @@ where
     T: Send,
     F: Fn(&mut Ctx) -> T + Send + Sync,
 {
-    let nranks = shared.map.nranks();
-    // Same floor as the pool: the entry frame + canary must fit.
-    let stack_size = stack_size.max(16 * 1024);
-    let arena = StackArena::new(nranks, stack_size);
-    let cells: Vec<EvCell<'_, T, F>> = (0..nranks)
-        .map(|rank| EvCell {
-            task: UnsafeCell::new(CoroTask {
-                sp: 0,
-                worker_sp: 0,
-                intent: Intent::None,
-                stack_base: std::ptr::null_mut(),
-            }),
-            pack: UnsafeCell::new(LaunchPack {
-                rank,
-                shared: Arc::clone(shared),
-                f,
-                out: std::ptr::null_mut(),
-                task: std::ptr::null_mut(),
-            }),
-            out: UnsafeCell::new(None),
-        })
-        .collect();
-
+    let cells = CellTable::new(shared, stack_size, f);
     let mut current_rank = usize::MAX;
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
         while let Some(rank) = core.pop_next() {
             current_rank = rank;
-            resume_event(core, &cells, &arena, rank);
+            // SAFETY: the calendar handed the driver exclusive ownership
+            // of `rank` (status `Running`) until `finalize` below, and
+            // there is no other thread.
+            let intent = unsafe { cells.resume(rank) };
+            core.finalize(rank, intent);
         }
     }));
     if let Err(payload) = caught {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string driver panic>".into()
-        };
-        core.record_infra_failure(current_rank, message);
+        core.record_infra_failure(current_rank, exec::executor_panic_message(&*payload));
     }
-
-    let outcomes = cells
-        .into_iter()
-        .map(|cell| cell.out.into_inner())
-        .collect();
     let infra = core
         .infra
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    (outcomes, infra)
-}
-
-fn resume_event<T, F>(
-    core: &CalendarCore,
-    cells: &[EvCell<'_, T, F>],
-    arena: &StackArena,
-    rank: usize,
-) where
-    T: Send,
-    F: Fn(&mut Ctx) -> T + Send + Sync,
-{
-    let cell = &cells[rank];
-    let task = cell.task.get();
-    // SAFETY: the calendar handed the driver exclusive ownership of
-    // `rank` (status `Running`); there is no other thread, and the cell
-    // is only touched between switches, never while the coroutine runs.
-    unsafe {
-        if (*task).sp == 0 {
-            // First activation: carve the stack slot (pages commit on
-            // touch) and set up the entry frame.
-            let stack = arena.stack(rank);
-            let pack = cell.pack.get();
-            (*pack).out = cell.out.get();
-            (*pack).task = task;
-            (*task).stack_base = stack.as_mut_ptr();
-            (*task).sp = exec::prepare_stack(
-                stack,
-                exec::coro_entry::<T, F> as *const () as usize,
-                pack as usize,
-            );
-        }
-        (*task).intent = Intent::None;
-        let prev = exec::CURRENT_TASK.with(|c| c.replace(task));
-        exec::msim_switch_stacks(&mut (*task).worker_sp, &(*task).sp);
-        exec::CURRENT_TASK.with(|c| c.set(prev));
-        let canary_ok = ((*task).stack_base as *const u64).read() == exec::STACK_CANARY
-            && (((*task).stack_base as *const u64).add(1)).read() == exec::STACK_CANARY;
-        assert!(
-            canary_ok,
-            "rank {rank} overflowed its {}-byte coroutine stack \
-             (raise SimConfig::stack_size)",
-            arena.stack_size
-        );
-        core.finalize(rank, (*task).intent);
-    }
+    (cells.into_outcomes(), infra)
 }
 
 #[cfg(test)]

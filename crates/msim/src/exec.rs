@@ -4,8 +4,9 @@
 //! simulated rank, which caps a run at a few thousand ranks before the
 //! host thrashes. This module multiplexes every rank program onto a
 //! bounded worker pool (default `min(ranks, available_parallelism)`):
-//! each rank runs as a *stackful coroutine* on a heap-allocated stack,
-//! and whenever it would block — a `recv`/`wait_flag` with no matching
+//! each rank runs as a *stackful coroutine* on a stack carved from one
+//! lazily committed arena (shared with the event calendar), and
+//! whenever it would block — a `recv`/`wait_flag` with no matching
 //! packet, or a setup-collective rendezvous that is not yet complete —
 //! it parks the coroutine and returns its worker to the pool instead of
 //! blocking an OS thread. The matching `send`/`post_flag`/rendezvous
@@ -197,33 +198,35 @@ unsafe extern "C" {
     /// # Safety
     /// `*load` must be a stack pointer previously produced by this
     /// function or by [`prepare_stack`], on memory that is still alive.
-    pub(crate) fn msim_switch_stacks(save: *mut usize, load: *const usize);
+    fn msim_switch_stacks(save: *mut usize, load: *const usize);
     /// Label only; never called directly from Rust.
     fn msim_coro_thunk();
 }
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub(crate) unsafe fn msim_switch_stacks(_save: *mut usize, _load: *const usize) {
+unsafe fn msim_switch_stacks(_save: *mut usize, _load: *const usize) {
     unreachable!("pooled execution is not supported on this target");
 }
 
 /// Canary written at the low end of every coroutine stack; checked on
 /// every return to the worker to detect stack overflows (coroutine
 /// stacks have no guard page).
-pub(crate) const STACK_CANARY: u64 = 0x5ca1_ab1e_dead_beef;
+const STACK_CANARY: u64 = 0x5ca1_ab1e_dead_beef;
 
 /// Lay out a fresh coroutine stack so that the first
 /// `msim_switch_stacks` into it lands in `msim_coro_thunk`, which calls
 /// `entry(arg)`. Returns the initial saved stack pointer.
 ///
 /// # Safety
-/// `stack` must outlive every switch into the returned context.
+/// `stack` must be at least [`MIN_STACK`] bytes and outlive every switch
+/// into the returned context.
 #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub(crate) unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -> usize {
+unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -> usize {
     let base = stack.as_mut_ptr() as usize;
-    // SAFETY: `stack` is a live allocation of at least 16 KiB (clamped in
-    // `run_pool`), so the two canary words at its low end are in-bounds
-    // writes to memory this function exclusively borrows.
+    // SAFETY: `stack` is at least `MIN_STACK` bytes (this function's
+    // contract; `StackArena::new` clamps every slot to it), so the two
+    // canary words at its low end are in-bounds writes to memory this
+    // function exclusively borrows.
     unsafe {
         (base as *mut u64).write(STACK_CANARY);
         ((base + 8) as *mut u64).write(STACK_CANARY);
@@ -231,7 +234,7 @@ pub(crate) unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -
     // 16-align the top; both ABIs want 16-byte stack alignment.
     let top = (base + stack.len()) & !15;
     // SAFETY: the frame is 7 words (x86_64) / 160 bytes (aarch64) below
-    // `top`, which the 16 KiB minimum stack size keeps well above `base`;
+    // `top`, which the `MIN_STACK` floor keeps well above `base`;
     // every write lands inside the borrowed stack slice. The layouts
     // mirror what `msim_switch_stacks` pops on its first switch in.
     #[cfg(target_arch = "x86_64")]
@@ -270,8 +273,168 @@ pub(crate) unsafe fn prepare_stack(stack: &mut [u8], entry: usize, arg: usize) -
 }
 
 #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub(crate) unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize {
+unsafe fn prepare_stack(_stack: &mut [u8], _entry: usize, _arg: usize) -> usize {
     unreachable!("pooled execution is not supported on this target");
+}
+
+// ---------------------------------------------------------------------------
+// The stack arena.
+// ---------------------------------------------------------------------------
+
+/// Smallest accepted coroutine stack: the entry frame and the canary must
+/// fit with room to spare. Smaller configurations are clamped up to it.
+const MIN_STACK: usize = 16 * 1024;
+
+/// Layout granule of the arena: 4 KiB, the smallest page of both
+/// supported ISAs. Larger host pages only make more slots share a page.
+const PAGE: usize = 4096;
+
+/// Bytes of canary at the low end of every slot (two [`STACK_CANARY`]
+/// words).
+const CANARY_BYTES: usize = 16;
+
+/// One reservation holding every rank's coroutine stack, shared by the
+/// pooled and event-calendar executors. On Linux this is an anonymous
+/// `MAP_NORESERVE` mapping: 262 144 ranks × 64 KiB is 16 GiB of
+/// *address space*, but only the pages a rank program actually touches
+/// are committed — one 4 KiB page per rank, measured in 32 768-rank
+/// barrier-only and hybrid-allgather runs. Elsewhere it falls back to
+/// one zeroed heap allocation, which mainstream allocators also commit
+/// lazily at these sizes. Pages stay committed until the run ends: a slot's top page
+/// also holds the next slot's canary, so it cannot be released early.
+///
+/// Layout: slot `i` starts at `PAGE - CANARY_BYTES + i * slot`, and the
+/// slot size is a whole number of pages (one extra page is reserved for
+/// the shift). Slot `i`'s top is therefore slot `i + 1`'s canary, which
+/// sits in the last 16 bytes of the page that slot `i`'s first frames
+/// commit anyway — a canary never costs a page of its own.
+struct StackArena {
+    base: *mut u8,
+    len: usize,
+    /// Bytes per slot: the configured stack size, clamped to
+    /// [`MIN_STACK`] and rounded up to whole pages.
+    slot: usize,
+    mmapped: bool,
+}
+
+#[cfg(target_os = "linux")]
+mod sys {
+    //! Raw syscall bindings (the workspace links no external crates;
+    //! `std` already links libc, so declaring the symbols suffices).
+    use core::ffi::c_void;
+
+    unsafe extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            length: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, length: usize) -> i32;
+    }
+
+    pub const PROT_READ: i32 = 0x1;
+    pub const PROT_WRITE: i32 = 0x2;
+    pub const MAP_PRIVATE: i32 = 0x02;
+    pub const MAP_ANONYMOUS: i32 = 0x20;
+    pub const MAP_NORESERVE: i32 = 0x4000;
+    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+}
+
+impl StackArena {
+    fn layout(len: usize) -> std::alloc::Layout {
+        // Page alignment keeps the heap fallback's layout identical to
+        // the mapping's.
+        std::alloc::Layout::from_size_align(len, PAGE).expect("arena size overflows a Layout")
+    }
+
+    /// Reserve stacks of (at least) `stack_size` bytes for `nranks`
+    /// ranks.
+    fn new(nranks: usize, stack_size: usize) -> Self {
+        let slot = stack_size
+            .max(MIN_STACK)
+            .checked_next_multiple_of(PAGE)
+            .expect("stack size overflows usize");
+        let len = nranks
+            .checked_mul(slot)
+            .and_then(|n| n.checked_add(PAGE))
+            .expect("stack arena size overflows usize");
+        #[cfg(target_os = "linux")]
+        {
+            // SAFETY: an anonymous private mapping with a null hint has
+            // no preconditions; the result is checked against
+            // MAP_FAILED before use.
+            let p = unsafe {
+                sys::mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    sys::PROT_READ | sys::PROT_WRITE,
+                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
+                    -1,
+                    0,
+                )
+            };
+            if p != sys::MAP_FAILED {
+                return Self {
+                    base: p.cast(),
+                    len,
+                    slot,
+                    mmapped: true,
+                };
+            }
+        }
+        // SAFETY: `len` is at least one page and the layout is valid
+        // (checked by `Self::layout`).
+        let base = unsafe { std::alloc::alloc_zeroed(Self::layout(len)) };
+        if base.is_null() {
+            std::alloc::handle_alloc_error(Self::layout(len));
+        }
+        Self {
+            base,
+            len,
+            slot,
+            mmapped: false,
+        }
+    }
+
+    /// The stack slot of `rank`; its first [`CANARY_BYTES`] are the
+    /// canary, and its end is 16-aligned.
+    ///
+    /// # Safety
+    /// `rank` must be below the arena's rank count, and the caller must
+    /// not hold another live borrow of the same slot; the executors only
+    /// borrow a slot once, inside the rank's first activation, before
+    /// any switch into it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn stack(&self, rank: usize) -> &mut [u8] {
+        let start = PAGE - CANARY_BYTES + rank * self.slot;
+        debug_assert!(start + self.slot <= self.len);
+        // SAFETY: the slot is in-bounds of the reservation (one extra
+        // page holds the shift) and, per the contract above, not
+        // aliased by another borrow.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(start), self.slot) }
+    }
+}
+
+impl Drop for StackArena {
+    fn drop(&mut self) {
+        if self.mmapped {
+            #[cfg(target_os = "linux")]
+            // SAFETY: `base`/`len` came from the successful mmap in
+            // `new`, and no stack in the arena is live at drop time
+            // (the executor joined every coroutine first).
+            unsafe {
+                sys::munmap(self.base.cast(), self.len);
+            }
+        } else {
+            // SAFETY: allocated in `new` with the identical layout.
+            unsafe {
+                std::alloc::dealloc(self.base, Self::layout(self.len));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -571,18 +734,18 @@ impl ExecCtl {
 /// switches, and cross-worker handoffs synchronize through the core
 /// mutex.
 #[derive(Debug)]
-pub(crate) struct CoroTask {
+struct CoroTask {
     /// Saved coroutine stack pointer (0 = not started yet).
-    pub(crate) sp: usize,
+    sp: usize,
     /// Saved worker stack pointer, valid while the coroutine runs.
-    pub(crate) worker_sp: usize,
-    pub(crate) intent: Intent,
-    /// Low end of the stack allocation, for the canary check.
-    pub(crate) stack_base: *mut u8,
+    worker_sp: usize,
+    intent: Intent,
+    /// Low end of the rank's arena slot: its canary.
+    stack_base: *mut u8,
 }
 
 thread_local! {
-    pub(crate) static CURRENT_TASK: Cell<*mut CoroTask> = const { Cell::new(std::ptr::null_mut()) };
+    static CURRENT_TASK: Cell<*mut CoroTask> = const { Cell::new(std::ptr::null_mut()) };
 }
 
 /// Park the calling coroutine until its executor wakes it ([`PoolCore::wake`]
@@ -605,7 +768,7 @@ pub(crate) fn park_current(deadline: Instant) {
 }
 
 // ---------------------------------------------------------------------------
-// The pooled run driver.
+// Coroutine cells (shared with the calendar) and the pooled run driver.
 // ---------------------------------------------------------------------------
 
 pub(crate) type RankOutcome<T> = std::thread::Result<(T, f64)>;
@@ -613,39 +776,149 @@ pub(crate) type RankOutcome<T> = std::thread::Result<(T, f64)>;
 /// Everything a coroutine needs to run its rank program. Lives in the
 /// per-rank cell (never on the coroutine stack), so dropping the cell
 /// after the run releases all captured state.
-pub(crate) struct LaunchPack<'f, T, F> {
-    pub(crate) rank: usize,
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) f: &'f F,
-    pub(crate) out: *mut Option<RankOutcome<T>>,
-    pub(crate) task: *mut CoroTask,
+struct LaunchPack<'f, T, F> {
+    rank: usize,
+    shared: Arc<Shared>,
+    f: &'f F,
+    out: *mut Option<RankOutcome<T>>,
+    task: *mut CoroTask,
 }
 
-/// One rank's executor cell: coroutine stack + switch cell + outcome.
+/// One rank's executor cell: switch cell + launch pack + outcome. The
+/// stack lives in the [`StackArena`], not here. `UnsafeCell` because the
+/// coroutine mutates these through raw pointers while its executor holds
+/// a shared borrow of the table; accesses strictly alternate with the
+/// context switches.
 struct RankCell<'f, T, F> {
     task: UnsafeCell<CoroTask>,
     pack: UnsafeCell<LaunchPack<'f, T, F>>,
-    stack: UnsafeCell<Vec<u8>>,
     out: UnsafeCell<Option<RankOutcome<T>>>,
 }
 
-/// Workers access disjoint cells (ownership is mediated by the core's
-/// rank states: exactly one worker holds a rank in `Running`).
-struct CellTable<'f, T, F>(Vec<RankCell<'f, T, F>>);
-// SAFETY: sharing the table only hands workers *potential* access to
-// every cell; actual access is serialized per cell by the core's rank
-// states (a cell is touched only by the single worker holding its rank
-// in `Running`, and transitions go through the core mutex, which
-// provides the necessary ordering). `T: Send` because outcomes move to
-// the collecting thread; `F: Sync` because all workers call `f`.
+/// The coroutines of one run — every rank's cell plus the arena their
+/// stacks are carved from — shared by the pooled and event-calendar
+/// executors. Executor threads access disjoint cells and slots
+/// (ownership is mediated by the executor's rank states: exactly one
+/// thread holds a rank in `Running`).
+pub(crate) struct CellTable<'f, T, F> {
+    cells: Vec<RankCell<'f, T, F>>,
+    arena: StackArena,
+}
+// SAFETY: sharing the table only hands executor threads *potential*
+// access to every cell and arena slot; actual access is serialized per
+// rank by the executor's rank states (a cell and its slot are touched
+// only by the single thread holding the rank in `Running`, and
+// transitions go through the executor's mutex, which provides the
+// necessary ordering). The arena itself is never written through `&self`
+// except via those slots. `T: Send` because outcomes move to the
+// collecting thread; `F: Sync` because all workers call `f`.
 unsafe impl<T: Send, F: Sync> Sync for CellTable<'_, T, F> {}
 
-pub(crate) extern "C" fn coro_entry<T, F>(pack: *mut LaunchPack<'_, T, F>)
+impl<'f, T, F> CellTable<'f, T, F>
+where
+    T: Send,
+    F: Fn(&mut Ctx) -> T + Send + Sync,
+{
+    /// Unstarted coroutines for every rank of `shared`, each with a
+    /// stack of at least `stack_size` bytes (see [`StackArena`]).
+    pub(crate) fn new(shared: &Arc<Shared>, stack_size: usize, f: &'f F) -> Self {
+        let nranks = shared.map.nranks();
+        let cells = (0..nranks)
+            .map(|rank| RankCell {
+                task: UnsafeCell::new(CoroTask {
+                    sp: 0,
+                    worker_sp: 0,
+                    intent: Intent::None,
+                    stack_base: std::ptr::null_mut(),
+                }),
+                pack: UnsafeCell::new(LaunchPack {
+                    rank,
+                    shared: Arc::clone(shared),
+                    f,
+                    out: std::ptr::null_mut(),
+                    task: std::ptr::null_mut(),
+                }),
+                out: UnsafeCell::new(None),
+            })
+            .collect();
+        Self {
+            cells,
+            arena: StackArena::new(nranks, stack_size),
+        }
+    }
+
+    /// Resume `rank`'s coroutine until it parks or finishes, and return
+    /// its yield intent. The first activation carves the rank's stack
+    /// slot (pages commit on touch) and lays out the entry frame. Panics
+    /// — an executor failure — if the rank overflowed its stack.
+    ///
+    /// # Safety
+    /// The calling thread must hold `rank` exclusively: its executor
+    /// state is `Running`, and no other thread touches its cell until
+    /// the executor's `finalize` publishes the returned intent.
+    pub(crate) unsafe fn resume(&self, rank: usize) -> Intent {
+        let cell = &self.cells[rank];
+        let task = cell.task.get();
+        // SAFETY: per the contract above the cell and its arena slot are
+        // ours alone; they are only touched between switches, never
+        // while the coroutine runs. `rank` indexed `cells`, so it is in
+        // the arena's bounds.
+        unsafe {
+            if (*task).sp == 0 {
+                let stack = self.arena.stack(rank);
+                let pack = cell.pack.get();
+                (*pack).out = cell.out.get();
+                (*pack).task = task;
+                (*task).stack_base = stack.as_mut_ptr();
+                (*task).sp = prepare_stack(
+                    stack,
+                    coro_entry::<T, F> as *const () as usize,
+                    pack as usize,
+                );
+            }
+            (*task).intent = Intent::None;
+            let prev = CURRENT_TASK.with(|c| c.replace(task));
+            msim_switch_stacks(&mut (*task).worker_sp, &(*task).sp);
+            CURRENT_TASK.with(|c| c.set(prev));
+            let canary_ok = ((*task).stack_base as *const u64).read() == STACK_CANARY
+                && (((*task).stack_base as *const u64).add(1)).read() == STACK_CANARY;
+            assert!(
+                canary_ok,
+                "rank {rank} overflowed its {}-byte coroutine stack \
+                 (raise SimConfig::stack_size)",
+                self.arena.slot
+            );
+            (*task).intent
+        }
+    }
+
+    /// The per-rank outcomes (`None` for ranks that never finished).
+    pub(crate) fn into_outcomes(self) -> Vec<Option<RankOutcome<T>>> {
+        self.cells
+            .into_iter()
+            .map(|cell| cell.out.into_inner())
+            .collect()
+    }
+}
+
+/// The text of a panic that escaped an executor's own scheduling loop
+/// (rank-program panics are caught inside their coroutines instead).
+pub(crate) fn executor_panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string executor panic>".into()
+    }
+}
+
+extern "C" fn coro_entry<T, F>(pack: *mut LaunchPack<'_, T, F>)
 where
     F: Fn(&mut Ctx) -> T,
 {
     // SAFETY: the pack outlives the coroutine (it lives in the cell
-    // table, which `run_pool` keeps alive until all workers join).
+    // table, which the executor keeps alive until every rank is done).
     let pack = unsafe { &mut *pack };
     // Catch *everything* before it can unwind into the assembly
     // trampoline: rank panics (asserts, injected kills, deadlock
@@ -655,8 +928,8 @@ where
         let out = (pack.f)(&mut ctx);
         (out, ctx.now())
     }));
-    // SAFETY: the outcome slot is only read after the core marks this
-    // rank Done (mutex-ordered).
+    // SAFETY: the outcome slot is only read after the executor marks
+    // this rank Done (mutex-ordered).
     unsafe {
         *pack.out = Some(result);
         (*pack.task).intent = Intent::Done;
@@ -683,57 +956,26 @@ where
     T: Send,
     F: Fn(&mut Ctx) -> T + Send + Sync,
 {
-    let nranks = shared.map.nranks();
-    // Stacks must hold at least the entry frame + canary; clamp tiny
-    // configs rather than corrupting memory.
-    let stack_size = stack_size.max(16 * 1024);
-    let cells = CellTable(
-        (0..nranks)
-            .map(|rank| RankCell {
-                task: UnsafeCell::new(CoroTask {
-                    sp: 0,
-                    worker_sp: 0,
-                    intent: Intent::None,
-                    stack_base: std::ptr::null_mut(),
-                }),
-                pack: UnsafeCell::new(LaunchPack {
-                    rank,
-                    shared: Arc::clone(shared),
-                    f,
-                    out: std::ptr::null_mut(),
-                    task: std::ptr::null_mut(),
-                }),
-                stack: UnsafeCell::new(Vec::new()),
-                out: UnsafeCell::new(None),
-            })
-            .collect(),
-    );
-
+    let cells = CellTable::new(shared, stack_size, f);
     std::thread::scope(|scope| {
         for w in 0..workers {
             let cells = &cells;
             let core = Arc::clone(core);
             std::thread::Builder::new()
                 .name(format!("msim-worker{w}"))
-                .spawn_scoped(scope, move || worker_loop::<T, F>(&core, cells, stack_size))
+                .spawn_scoped(scope, move || worker_loop::<T, F>(&core, cells))
                 .expect("failed to spawn pool worker");
         }
     });
-
-    let outcomes = cells
-        .0
-        .into_iter()
-        .map(|cell| cell.out.into_inner())
-        .collect();
     let infra = core
         .infra
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    (outcomes, infra)
+    (cells.into_outcomes(), infra)
 }
 
-fn worker_loop<T, F>(core: &Arc<PoolCore>, cells: &CellTable<'_, T, F>, stack_size: usize)
+fn worker_loop<T, F>(core: &PoolCore, cells: &CellTable<'_, T, F>)
 where
     T: Send,
     F: Fn(&mut Ctx) -> T + Send + Sync,
@@ -742,67 +984,14 @@ where
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
         while let Some(rank) = core.next_rank() {
             current_rank = rank;
-            resume_rank(core, cells, rank, stack_size);
+            // SAFETY: the core handed this worker exclusive ownership of
+            // `rank` (state `Running`) until `finalize` below.
+            let intent = unsafe { cells.resume(rank) };
+            core.finalize(rank, intent);
         }
     }));
     if let Err(payload) = caught {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string worker panic>".into()
-        };
-        core.record_infra_failure(current_rank, message);
-    }
-}
-
-fn resume_rank<T, F>(core: &PoolCore, cells: &CellTable<'_, T, F>, rank: usize, stack_size: usize)
-where
-    T: Send,
-    F: Fn(&mut Ctx) -> T + Send + Sync,
-{
-    let cell = &cells.0[rank];
-    let task = cell.task.get();
-    // SAFETY: the core handed this worker exclusive ownership of `rank`
-    // (state `Running`); no other thread touches this cell until the
-    // coroutine yields and `finalize` publishes the transition.
-    unsafe {
-        if (*task).sp == 0 {
-            // First activation: allocate the stack lazily (zeroed pages
-            // commit on touch) and set up the entry frame.
-            let stack = &mut *cell.stack.get();
-            *stack = vec![0u8; stack_size];
-            let pack = cell.pack.get();
-            (*pack).out = cell.out.get();
-            (*pack).task = task;
-            (*task).stack_base = stack.as_mut_ptr();
-            (*task).sp = prepare_stack(
-                stack.as_mut_slice(),
-                coro_entry::<T, F> as *const () as usize,
-                pack as usize,
-            );
-        }
-        (*task).intent = Intent::None;
-        let prev = CURRENT_TASK.with(|c| c.replace(task));
-        msim_switch_stacks(&mut (*task).worker_sp, &(*task).sp);
-        CURRENT_TASK.with(|c| c.set(prev));
-        let canary_ok = ((*task).stack_base as *const u64).read() == STACK_CANARY
-            && (((*task).stack_base as *const u64).add(1)).read() == STACK_CANARY;
-        assert!(
-            canary_ok,
-            "rank {rank} overflowed its {}-byte coroutine stack \
-             (raise SimConfig::stack_size)",
-            (*cell.stack.get()).len()
-        );
-        let intent = (*task).intent;
-        if intent == Intent::Done {
-            // Free the stack eagerly: at 4096+ ranks the tail of a run
-            // would otherwise hold every stack until the scope joins.
-            (*cell.stack.get()).clear();
-            (*cell.stack.get()).shrink_to_fit();
-        }
-        core.finalize(rank, intent);
+        core.record_infra_failure(current_rank, executor_panic_message(&*payload));
     }
 }
 
@@ -813,41 +1002,58 @@ mod tests {
     use crate::SimError;
     use simnet::{ClusterSpec, CostModel};
 
-    fn cfg() -> SimConfig {
+    /// Both coroutine executors (phantom data, which the calendar
+    /// requires).
+    const CORO_EXECS: [ExecMode; 2] = [ExecMode::Pooled { workers: Some(1) }, ExecMode::Events];
+
+    fn cfg(exec: ExecMode) -> SimConfig {
         SimConfig::new(ClusterSpec::regular(1, 2), CostModel::uniform_test())
-            .with_exec(ExecMode::Pooled { workers: Some(1) })
+            .phantom()
+            .with_exec(exec)
     }
 
     /// The canary is a real guard, not decoration: a write that lands
     /// past the low end of a coroutine stack is caught as an
-    /// `ExecutorFailure` naming the overflow, never silent corruption.
+    /// `ExecutorFailure` naming the overflow and the rank, never silent
+    /// corruption — on both executors, and for rank 1 too, whose canary
+    /// shares a page with rank 0's topmost frames.
     #[test]
     fn clobbered_stack_canary_is_reported_as_overflow() {
         if !POOL_SUPPORTED {
             return;
         }
-        let err = Universe::run(cfg(), |ctx| {
-            if ctx.rank() == 0 {
-                let task = CURRENT_TASK.with(|c| c.get());
-                assert!(!task.is_null(), "rank must be running as a coroutine");
-                // Simulate the last store of a stack overflow: clobber the
-                // canary word at the low end of this coroutine's own
-                // stack.
-                // SAFETY: `task` is this coroutine's live switch cell and
-                // `stack_base` points at its stack allocation, so the
-                // write stays inside an allocation we own — the *check*
-                // failing is the point, not UB.
-                unsafe {
-                    ((*task).stack_base as *mut u64).write(0);
+        for exec in CORO_EXECS {
+            for victim in 0..2 {
+                let err = Universe::run(cfg(exec), move |ctx| {
+                    if ctx.rank() == victim {
+                        let task = CURRENT_TASK.with(|c| c.get());
+                        assert!(!task.is_null(), "rank must be running as a coroutine");
+                        // Simulate the last store of a stack overflow:
+                        // clobber the canary word at the low end of this
+                        // coroutine's own stack.
+                        // SAFETY: `task` is this coroutine's live switch
+                        // cell and `stack_base` points at its arena slot,
+                        // so the write stays inside memory we own — the
+                        // *check* failing is the point, not UB.
+                        unsafe {
+                            ((*task).stack_base as *mut u64).write(0);
+                        }
+                    }
+                })
+                .unwrap_err();
+                match err {
+                    SimError::ExecutorFailure { rank, message, .. } => {
+                        assert!(
+                            message.contains(&format!("rank {victim} overflowed")),
+                            "{exec:?}: {message}"
+                        );
+                        assert_eq!(rank, victim, "{exec:?}: {message}");
+                    }
+                    other => panic!(
+                        "{exec:?}: expected the canary to trip an executor failure, got {other}"
+                    ),
                 }
             }
-        })
-        .unwrap_err();
-        match err {
-            SimError::ExecutorFailure { message, .. } => {
-                assert!(message.contains("overflowed"), "{message}");
-            }
-            other => panic!("expected the canary to trip an executor failure, got {other}"),
         }
     }
 
@@ -858,7 +1064,48 @@ mod tests {
         if !POOL_SUPPORTED {
             return;
         }
-        let r = Universe::run(cfg().with_stack_size(1), |ctx| ctx.rank()).unwrap();
-        assert_eq!(r.per_rank, vec![0, 1]);
+        for exec in CORO_EXECS {
+            let r = Universe::run(cfg(exec).with_stack_size(1), |ctx| ctx.rank()).unwrap();
+            assert_eq!(r.per_rank, vec![0, 1], "{exec:?}");
+        }
+    }
+
+    /// The arena layout contract: whole-page slots shifted so each
+    /// slot's canary is the previous slot's top — 16-aligned, never
+    /// page-aligned (so it shares the page the previous rank's first
+    /// frames commit) — and every slot inside the reservation.
+    #[test]
+    fn arena_canaries_sit_at_the_previous_slots_top() {
+        for (nranks, stack_size) in [(5, 64 * 1024), (7, 100_000), (3, 1), (1, MIN_STACK), (0, 1)] {
+            let arena = StackArena::new(nranks, stack_size);
+            let base = arena.base as usize;
+            assert_eq!(
+                arena.slot % PAGE,
+                0,
+                "size {stack_size}: slot not whole pages"
+            );
+            assert!(arena.slot >= stack_size.max(MIN_STACK), "size {stack_size}");
+            let mut prev_top = None;
+            for rank in 0..nranks {
+                // SAFETY: `rank` is in range, and each slot is borrowed
+                // once, only long enough to read its address.
+                let (canary, len) = unsafe {
+                    let slot = arena.stack(rank);
+                    (slot.as_ptr() as usize, slot.len())
+                };
+                let top = canary + len;
+                assert_eq!(canary % 16, 0, "size {stack_size} rank {rank}");
+                assert_ne!(canary % PAGE, 0, "size {stack_size} rank {rank}");
+                assert_eq!(top % 16, 0, "size {stack_size} rank {rank}");
+                assert!(
+                    canary >= base && top <= base + arena.len,
+                    "rank {rank} out of bounds"
+                );
+                if let Some(prev) = prev_top {
+                    assert_eq!(canary, prev, "size {stack_size} rank {rank}");
+                }
+                prev_top = Some(top);
+            }
+        }
     }
 }

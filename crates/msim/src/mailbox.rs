@@ -12,12 +12,51 @@ use crate::exec::{self, ExecCtl};
 use crate::msg::Packet;
 use simnet::rng::{mix, Rng64};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Matching key: (communicator context id, source rank in that
 /// communicator, user tag).
 pub(crate) type MatchKey = (u32, usize, u32);
+
+/// Fixed multiply-rotate hasher for [`MatchKey`] maps. The keys are made
+/// by this program (context ids, ranks, tags), so SipHash's resistance
+/// to crafted collisions buys nothing, while its cost lands on every
+/// push and match. Nothing iterates these maps in an order that
+/// matters: the fuzz flush orders by its own `keys` list.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upwards only; rotating brings the
+        // well-mixed high bits down to the bucket-index bits.
+        self.0.rotate_left(26)
+    }
+}
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+type KeyMap<V> = HashMap<MatchKey, V, BuildHasherDefault<KeyHasher>>;
 
 /// Seeded delivery-order fuzzing for one mailbox (see module docs).
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +69,7 @@ pub(crate) struct StageFuzz {
 
 #[derive(Debug, Default)]
 struct State {
-    queues: HashMap<MatchKey, VecDeque<Packet>>,
+    queues: KeyMap<VecDeque<Packet>>,
     /// Packets withheld by the fuzzer, in arrival order.
     staged: Vec<(MatchKey, Packet)>,
     /// Total pushes / flushes so far — the fuzzer's event counters.
@@ -49,7 +88,7 @@ impl State {
         let staged = std::mem::take(&mut self.staged);
         // Group by key, preserving in-key arrival order.
         let mut keys: Vec<MatchKey> = Vec::new();
-        let mut groups: HashMap<MatchKey, Vec<Packet>> = HashMap::new();
+        let mut groups: KeyMap<Vec<Packet>> = KeyMap::default();
         for (key, packet) in staged {
             groups.entry(key).or_insert_with(|| {
                 keys.push(key);
@@ -178,10 +217,10 @@ impl Mailbox {
     /// pooled mode "block" means parking the calling coroutine, freeing
     /// its worker thread to run other ranks.
     pub(crate) fn pop(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
-        let deadline = Instant::now() + timeout;
         if self.exec.parks_ranks() {
-            return self.pop_pooled(key, deadline);
+            return self.pop_parked(key, timeout);
         }
+        let deadline = Instant::now() + timeout;
         let mut s = self.lock();
         loop {
             if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
@@ -202,23 +241,27 @@ impl Mailbox {
         }
     }
 
-    fn pop_pooled(&self, key: MatchKey, deadline: Instant) -> Option<Packet> {
+    fn pop_parked(&self, key: MatchKey, timeout: Duration) -> Option<Packet> {
+        // Set on the first miss: a receive that is already satisfied
+        // reads no clock.
+        let mut deadline = None;
         loop {
-            {
-                let mut s = self.lock();
-                // Recheck the queue *before* the deadline: a wake that
-                // raced the deadline must deliver, not time out.
-                if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
-                    return Some(packet);
-                }
-                if Instant::now() >= deadline {
-                    return None;
-                }
+            let mut s = self.lock();
+            // Recheck the queue *before* the deadline: a wake that raced
+            // the deadline must deliver, not time out.
+            if let Some(packet) = Self::try_pop(&mut s, self.fuzz, key) {
+                return Some(packet);
             }
+            let now = Instant::now();
+            let due = *deadline.get_or_insert(now + timeout);
+            if now >= due {
+                return None;
+            }
+            drop(s);
             // A push that lands here (between unlock and park) still
             // wakes us: the executor records the wake token against our
             // Running state and re-readies the park immediately.
-            exec::park_current(deadline);
+            exec::park_current(due);
         }
     }
 
